@@ -13,6 +13,13 @@ A closure is built relative to:
 * ``bindings``  -- a mutable dict the interpreter updates as outer loops bind
   variables; closures for non-loop variables read through it.
 
+Temporal operands evaluate to ``(start, stop)`` chronon pairs -- the
+half-open period of :class:`~repro.temporal.interval.Period`, with an event
+``t`` as ``(t, t + 1)`` -- or ``None`` for an empty period.  A stored tuple's
+valid time becomes a pair after the same range check ``Period`` applies, so
+an out-of-range chronon raises the same ``ChrononRangeError`` from the same
+rows, while no ``Period`` object is built per row.
+
 Temporal string constants (including ``"now"``) resolve against the
 database clock at compile time, i.e. once per statement execution, matching
 the prototype where a statement executes at one instant.
@@ -24,6 +31,7 @@ import weakref
 from dataclasses import dataclass
 
 from repro.errors import ExecutionError, TQuelSemanticError
+from repro.temporal.chronon import CHRONON_MIN, FOREVER, check_chronon
 from repro.temporal.interval import Period
 from repro.tquel import ast
 
@@ -82,26 +90,6 @@ class VarLayout:
             valid = (positions["valid_from"], positions["valid_to"])
         return cls(positions=positions, tx=tx, valid=valid, valid_at=valid_at)
 
-    def valid_period(self, row: tuple) -> Period:
-        if self.valid is not None:
-            start = row[self.valid[0]]
-            stop = row[self.valid[1]]
-            if stop > start:
-                return Period(start, stop)
-            return Period.event(start)
-        if self.valid_at is not None:
-            return Period.event(row[self.valid_at])
-        raise ExecutionError("variable has no valid time")
-
-    def tx_period(self, row: tuple) -> Period:
-        if self.tx is None:
-            raise ExecutionError("variable has no transaction time")
-        start = row[self.tx[0]]
-        stop = row[self.tx[1]]
-        if stop > start:
-            return Period(start, stop)
-        return Period.event(start)
-
 
 def _truncating_div(left, right):
     if right == 0:
@@ -127,6 +115,65 @@ _COMPARE = {
     ">": lambda a, b: a > b,
     ">=": lambda a, b: a >= b,
 }
+
+# The loop row's attribute at position p against a constant v.
+_COMPARE_CONST = {
+    "=": lambda p, v: lambda row: row[p] == v,
+    "!=": lambda p, v: lambda row: row[p] != v,
+    "<": lambda p, v: lambda row: row[p] < v,
+    "<=": lambda p, v: lambda row: row[p] <= v,
+    ">": lambda p, v: lambda row: row[p] > v,
+    ">=": lambda p, v: lambda row: row[p] >= v,
+}
+
+# The loop row's attribute at position p against slots[k][q], read per
+# call: a bound variable's attribute (bindings[var][position]) or a
+# parameter (bindings["$params"][name]).
+_COMPARE_SLOT = {
+    "=": lambda p, s, k, q: lambda row: row[p] == s[k][q],
+    "!=": lambda p, s, k, q: lambda row: row[p] != s[k][q],
+    "<": lambda p, s, k, q: lambda row: row[p] < s[k][q],
+    "<=": lambda p, s, k, q: lambda row: row[p] <= s[k][q],
+    ">": lambda p, s, k, q: lambda row: row[p] > s[k][q],
+    ">=": lambda p, s, k, q: lambda row: row[p] >= s[k][q],
+}
+
+# a OP b == b MIRROR[OP] a
+_MIRROR = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def _is_loop_attr(expr, var) -> bool:
+    return (
+        var is not None
+        and isinstance(expr, ast.Attr)
+        and (expr.var is None or expr.var == var)
+    )
+
+
+def _compare_loop_attr(expr, var, layouts, bindings):
+    """A direct closure for a loop attribute compared with a constant, a
+    ``$param`` or a bound variable's attribute; ``None`` for any other
+    comparison.  The other side cannot raise, except an unbound ``$param``,
+    which takes the general path so it raises only when reached."""
+    op, attr, other = expr.op, expr.left, expr.right
+    if not _is_loop_attr(attr, var):
+        # Mirror ``value OP attr``, except for a $param: its value's type
+        # is unchecked, and a mixed-type TypeError names operands in order.
+        if not _is_loop_attr(other, var) or isinstance(attr, ast.Param):
+            return None
+        op, attr, other = _MIRROR[op], other, attr
+    position = layouts[var].positions[attr.name]
+    if isinstance(other, ast.Const):
+        return _COMPARE_CONST[op](position, other.value)
+    if isinstance(other, ast.Param):
+        # "$params" is set once, before compilation, per executor.
+        if other.name not in bindings.get("$params", ()):
+            return None
+        return _COMPARE_SLOT[op](position, bindings, "$params", other.name)
+    if isinstance(other, ast.Attr) and other.var not in (None, var):
+        slot = layouts[other.var].positions[other.name]
+        return _COMPARE_SLOT[op](position, bindings, other.var, slot)
+    return None
 
 
 def compile_scalar(expr, var: "str | None", layouts, bindings):
@@ -166,6 +213,9 @@ def compile_scalar(expr, var: "str | None", layouts, bindings):
         op = _ARITH[expr.op]
         return lambda row: op(left(row), right(row))
     if isinstance(expr, ast.Compare):
+        direct = _compare_loop_attr(expr, var, layouts, bindings)
+        if direct is not None:
+            return direct
         left = compile_scalar(expr.left, var, layouts, bindings)
         right = compile_scalar(expr.right, var, layouts, bindings)
         op = _COMPARE[expr.op]
@@ -184,35 +234,99 @@ def compile_scalar(expr, var: "str | None", layouts, bindings):
     raise ExecutionError(f"cannot compile scalar node {expr!r}")
 
 
+def _event_pair(at):
+    """``Period.event(at)`` as a pair, with its range check."""
+    check_chronon(at)
+    if at == FOREVER:
+        # Pinned to the last representable chronon, as Period.event does.
+        return FOREVER - 1, FOREVER
+    return at, at + 1
+
+
+def _checked_pair(start, stop):
+    """A stored ``(start, stop)`` that failed the fast in-range interval
+    test: an event-shaped (``stop <= start``) version, or an out-of-range
+    chronon, which raises exactly as constructing its ``Period`` would."""
+    if stop > start:
+        check_chronon(start)
+        check_chronon(stop)
+        return start, stop
+    return _event_pair(start)
+
+
+def valid_reader(layout: VarLayout):
+    """``fn(row) -> (start, stop)``: a row's valid period or event.
+
+    A version with ``valid_to <= valid_from`` reads as the event at its
+    start.  The chained comparison is the whole range check for an
+    in-range interval; anything else takes the checked path.
+    """
+    if layout.valid is not None:
+        start_pos, stop_pos = layout.valid
+
+        def interval(row):
+            start = row[start_pos]
+            stop = row[stop_pos]
+            if CHRONON_MIN <= start < stop <= FOREVER:
+                return start, stop
+            return _checked_pair(start, stop)
+
+        return interval
+    if layout.valid_at is not None:
+        at_pos = layout.valid_at
+
+        def event(row):
+            at = row[at_pos]
+            if CHRONON_MIN <= at < FOREVER:
+                return at, at + 1
+            return _event_pair(at)
+
+        return event
+
+    def no_valid_time(row):
+        raise ExecutionError("variable has no valid time")
+
+    return no_valid_time
+
+
 def compile_temporal(expr, var, layouts, bindings, clock):
-    """Compile a temporal operand into ``fn(row) -> Period | None``.
+    """Compile a temporal operand into ``fn(row) -> (start, stop) | None``.
 
     ``None`` denotes an empty period (an ``overlap`` of disjoint operands)
     and propagates: predicates over it are false, ``extend`` ignores the
-    empty side.
+    empty side.  Both operands of a binary operator are evaluated, left
+    first, before either is tested, so a range error in either surfaces.
     """
     if isinstance(expr, ast.TempConst):
-        period = Period.event(clock.parse(expr.text))
-        return lambda row: period
+        pair = _event_pair(clock.parse(expr.text))
+        return lambda row: pair
     if isinstance(expr, ast.TempVar):
-        layout = layouts[expr.var]
+        read = valid_reader(layouts[expr.var])
         if expr.var == var:
-            return lambda row: layout.valid_period(row)
+            return read
         name = expr.var
-        return lambda row: layout.valid_period(bindings[name])
+        return lambda row: read(bindings[name])
     if isinstance(expr, ast.TempEdge):
         inner = compile_temporal(expr.operand, var, layouts, bindings, clock)
         if expr.which == "start":
 
             def start_of(row):
                 period = inner(row)
-                return None if period is None else period.start_event()
+                if period is None:
+                    return None
+                start = period[0]
+                return start, start + 1
 
             return start_of
 
         def end_of(row):
+            # The last chronon; for a current version (stop == FOREVER)
+            # this is the event pinned at FOREVER, as Period.end_event.
             period = inner(row)
-            return None if period is None else period.end_event()
+            if period is None:
+                return None
+            stop = period[1]
+            return stop - 1, stop
 
         return end_of
     if isinstance(expr, ast.TempBin):
@@ -225,7 +339,9 @@ def compile_temporal(expr, var, layouts, bindings, clock):
                 b = right(row)
                 if a is None or b is None:
                     return None
-                return a.intersect(b)
+                start = a[0] if a[0] > b[0] else b[0]
+                stop = a[1] if a[1] < b[1] else b[1]
+                return (start, stop) if start < stop else None
 
             return intersection
         if expr.op == "extend":
@@ -237,13 +353,32 @@ def compile_temporal(expr, var, layouts, bindings, clock):
                     return b
                 if b is None:
                     return a
-                return a.extend(b)
+                return (
+                    a[0] if a[0] < b[0] else b[0],
+                    a[1] if a[1] > b[1] else b[1],
+                )
 
             return span
         raise TQuelSemanticError(
             f"'{expr.op}' cannot be used as a temporal operand"
         )
     raise ExecutionError(f"cannot compile temporal node {expr!r}")
+
+
+def _overlaps_constant(layout: VarLayout, pair):
+    """``fn(row) -> bool``: the row's valid interval overlaps the constant
+    *pair* -- ``x overlap "now"`` with no call beyond the closure's own."""
+    start_pos, stop_pos = layout.valid
+    c_start, c_stop = pair
+
+    def overlaps_constant(row):
+        start = row[start_pos]
+        stop = row[stop_pos]
+        if not CHRONON_MIN <= start < stop <= FOREVER:
+            start, stop = _checked_pair(start, stop)
+        return start < c_stop and c_start < stop
+
+    return overlaps_constant
 
 
 def compile_when(node, var, layouts, bindings, clock):
@@ -254,7 +389,7 @@ def compile_when(node, var, layouts, bindings, clock):
             for operand in node.operands
         ]
         if node.op == "and":
-            return lambda row: all(part(row) for part in parts)
+            return conjunction(parts)
         return lambda row: any(part(row) for part in parts)
     if isinstance(node, ast.NotOp):
         inner = compile_when(node.operand, var, layouts, bindings, clock)
@@ -263,18 +398,35 @@ def compile_when(node, var, layouts, bindings, clock):
         left = compile_temporal(node.left, var, layouts, bindings, clock)
         right = compile_temporal(node.right, var, layouts, bindings, clock)
         if node.op == "overlap":
+            for own, other, constant in (
+                (node.left, node.right, right),
+                (node.right, node.left, left),
+            ):
+                if (
+                    isinstance(own, ast.TempVar)
+                    and own.var == var
+                    and layouts[var].valid is not None
+                    and isinstance(other, ast.TempConst)
+                ):
+                    return _overlaps_constant(layouts[var], constant(None))
 
             def overlap_pred(row):
                 a = left(row)
                 b = right(row)
-                return a is not None and b is not None and a.overlaps(b)
+                return (
+                    a is not None
+                    and b is not None
+                    and a[0] < b[1]
+                    and b[0] < a[1]
+                )
 
             return overlap_pred
 
         def precede_pred(row):
+            # TQuel precede: a's last chronon is not after b's first.
             a = left(row)
             b = right(row)
-            return a is not None and b is not None and a.precedes(b)
+            return a is not None and b is not None and a[1] - 1 <= b[0]
 
         return precede_pred
     raise ExecutionError(f"cannot compile when node {node!r}")
@@ -297,12 +449,18 @@ def make_asof_filter(layout: VarLayout, period: Period):
 
 
 def conjunction(filters):
-    """Combine row filters; an empty list accepts everything."""
+    """Combine row filters into one ``f1(row) and f2(row) and ...`` chain,
+    evaluated in order and short-circuiting; an empty list accepts
+    everything."""
     if not filters:
         return lambda row: True
     if len(filters) == 1:
         return filters[0]
-    return lambda row: all(check(row) for check in filters)
+    first, second = filters[0], filters[1]
+    if len(filters) == 2:
+        return lambda row: first(row) and second(row)
+    rest = conjunction(filters[2:])
+    return lambda row: first(row) and second(row) and rest(row)
 
 
 def batch_conjunction(filters):
@@ -310,13 +468,18 @@ def batch_conjunction(filters):
 
     The batch execution kernel hands each page's decoded rows to this
     closure in one call, replacing a per-tuple closure invocation with a
-    single list comprehension over the page.
+    single list comprehension over the page; the filters chain inside it
+    as in :func:`conjunction`.
     """
     if not filters:
         return lambda rows: rows
     if len(filters) == 1:
         check = filters[0]
         return lambda rows: [row for row in rows if check(row)]
+    first, second = filters[0], filters[1]
+    if len(filters) == 2:
+        return lambda rows: [row for row in rows if first(row) and second(row)]
+    rest = conjunction(filters[2:])
     return lambda rows: [
-        row for row in rows if all(check(row) for check in filters)
+        row for row in rows if first(row) and second(row) and rest(row)
     ]

@@ -53,6 +53,7 @@ from repro.tquel.compile import (
     compile_when,
     conjunction,
     make_asof_filter,
+    valid_reader,
 )
 from repro.tquel.semantics import Analysis, Conjunct
 
@@ -144,7 +145,7 @@ class Executor:
         period = fn(None)
         if period is None:
             raise ExecutionError("empty period in a constant temporal clause")
-        return period
+        return Period(*period)
 
     def _is_current_only(self, source: _VarSource) -> bool:
         """Do the constraints restrict *source* to fully-current versions?
@@ -506,9 +507,9 @@ class Executor:
             if period is None:
                 return
             if valid_mode == "interval":
-                rows.append(values + (period.start, period.stop))
+                rows.append(values + period)
             else:
-                rows.append(values + (period.start,))
+                rows.append(values + period[:1])
 
         self._execute_join(order, emit)
 
@@ -919,22 +920,19 @@ class Executor:
         """How the result's implicit time attributes are computed.
 
         Returns ``(mode, fn)`` where mode is ``"none"``, ``"interval"`` or
-        ``"event"`` and ``fn()`` yields the per-tuple period (or ``None`` to
-        drop the tuple, when the default intersection is empty).
+        ``"event"`` and ``fn()`` yields the per-tuple ``(start, stop)``
+        period (or ``None`` to drop the tuple, when the default
+        intersection is empty).
         """
         analysis = self._analysis
         valid = analysis.valid
         if valid is not None:
             if valid.at is not None:
                 at_fn = compile_temporal(
-                    valid.at, None, layouts, self._bindings, self._db
+                    ast.TempEdge("start", valid.at),
+                    None, layouts, self._bindings, self._db,
                 )
-
-                def event_fn():
-                    period = at_fn(None)
-                    return None if period is None else period.start_event()
-
-                return "event", event_fn
+                return "event", lambda: at_fn(None)
             from_fn = compile_temporal(
                 valid.from_, None, layouts, self._bindings, self._db
             )
@@ -947,9 +945,9 @@ class Executor:
                 stop = to_fn(None)
                 if start is None or stop is None:
                     return None
-                if stop.stop <= start.start:
+                if stop[1] <= start[0]:
                     return None
-                return Period(start.start, stop.stop)
+                return start[0], stop[1]
 
             return "interval", interval_fn
 
@@ -961,15 +959,24 @@ class Executor:
         ]
         if not valid_vars:
             return "none", None
-        sources = [self._sources[name] for name in valid_vars]
+        readers = [
+            (name, valid_reader(self._sources[name].layout))
+            for name in valid_vars
+        ]
+        bindings = self._bindings
 
         def default_fn():
+            # Stops at the first empty intersection, before reading (and
+            # range-checking) the remaining variables' periods.
             period = None
-            for source in sources:
-                own = source.layout.valid_period(self._bindings[source.name])
-                period = own if period is None else period.intersect(own)
-                if period is None:
-                    return None
+            for name, read in readers:
+                start, stop = read(bindings[name])
+                if period is not None:
+                    start = max(start, period[0])
+                    stop = min(stop, period[1])
+                    if stop <= start:
+                        return None
+                period = start, stop
             return period
 
         return "interval", default_fn
@@ -1151,7 +1158,7 @@ class Executor:
                 period = at_fn(row)
                 if period is None:
                     raise ExecutionError("empty 'valid at' period")
-                return mutate.ValidSpec(valid_at=period.start)
+                return mutate.ValidSpec(valid_at=period[0])
 
             return at_spec
         from_fn = compile_temporal(
@@ -1166,13 +1173,11 @@ class Executor:
             stop = to_fn(row)
             if start is None or stop is None:
                 raise ExecutionError("empty period in valid clause")
-            if stop.stop <= start.start:
+            if stop[1] <= start[0]:
                 raise ExecutionError(
                     "valid clause: 'to' precedes 'from'"
                 )
-            return mutate.ValidSpec(
-                valid_from=start.start, valid_to=stop.stop
-            )
+            return mutate.ValidSpec(valid_from=start[0], valid_to=stop[1])
 
         return interval_spec
 

@@ -133,6 +133,33 @@ class TestRunner:
         }
         assert len(outputs) == 1
 
+    def test_q11_builds_no_period_per_row(self, monkeypatch):
+        """Temporal predicates run on chronon pairs: the number of Period
+        objects Q11 builds stays fixed while the rows it scans grow."""
+        from repro.bench.evolve import evolve_uniform
+        from repro.bench.runner import measure_query
+        from repro.temporal.interval import Period
+
+        bench = build_database(config())
+        text = benchmark_queries(bench.config)["Q11"]
+        built = []
+        post_init = Period.__post_init__
+
+        def counting_post_init(period):
+            built.append(period)
+            post_init(period)
+
+        monkeypatch.setattr(Period, "__post_init__", counting_post_init)
+        samples = []
+        for _ in range(2):
+            evolve_uniform(bench, steps=2)
+            built.clear()
+            cost = measure_query(bench, text)
+            samples.append((cost.input_pages, len(built)))
+        (pages_before, periods_before), (pages_after, periods_after) = samples
+        assert pages_after > pages_before
+        assert periods_after == periods_before
+
 
 class TestCostModel:
     @pytest.fixture(scope="class")

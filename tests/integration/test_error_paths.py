@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro import FOREVER
 from repro.errors import (
     CatalogError,
+    ChrononRangeError,
     ExecutionError,
     TQuelSemanticError,
     TQuelSyntaxError,
@@ -141,3 +143,38 @@ class TestStatementAtomicityOfErrors:
             basic.execute("modify r to rtree on id")
         # The old structure still answers queries.
         assert basic.execute("retrieve (x.v) where x.id = 1").rows
+
+
+class TestStoredChrononOutOfRange:
+    """A stored chronon outside [0, 2^31-1] raises from exactly the rows
+    and clauses that reach it.  The row is written below the language,
+    since no statement can store one."""
+
+    MESSAGE = r"^chronon -5 outside \[0, 2147483647\]$"
+
+    @pytest.fixture
+    def bad(self, db):
+        db.execute("create interval s (id = i4)")
+        db.execute("range of y is s")
+        db.execute("append to s (id = 1)")
+        db.relation("s").storage.insert((2, -5, FOREVER))
+        db.pool.flush_statement()
+        return db
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            'retrieve (y.id) when y overlap "now"',
+            'retrieve (y.id) when start of y precede "now"',
+            "retrieve (y.id)",  # the default result valid time
+        ],
+    )
+    def test_clause_reading_the_row_raises(self, bad, text):
+        with pytest.raises(ChrononRangeError, match=self.MESSAGE):
+            bad.execute(text)
+
+    def test_row_filtered_earlier_does_not_raise(self, bad):
+        result = bad.execute(
+            'retrieve (y.id) where y.id = 1 when y overlap "now"'
+        )
+        assert [row[0] for row in result.rows] == [1]

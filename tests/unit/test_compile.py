@@ -8,6 +8,7 @@ from repro.temporal.interval import Period
 from repro.tquel import ast
 from repro.tquel.compile import (
     VarLayout,
+    batch_conjunction,
     compile_scalar,
     compile_temporal,
     compile_when,
@@ -90,23 +91,51 @@ class TestScalar:
         assert fn((9, 0, 1)) is False
         assert fn((3, 0, 1)) is False
 
+    @pytest.mark.parametrize("op", ["=", "!=", "<", "<=", ">", ">="])
+    def test_loop_attr_against_constant_param_and_bound_attr(self, op):
+        import operator
+
+        python_op = {
+            "=": operator.eq, "!=": operator.ne, "<": operator.lt,
+            "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+        }[op]
+        layouts = {"h": LAYOUT, "g": LAYOUT}
+        bindings = {"$params": {"p": 5}, "g": (5, 0, 1)}
+        attr = ast.Attr("h", "id")
+        for other in (ast.Const(5), ast.Param("p"), ast.Attr("g", "id")):
+            for left, right in ((attr, other), (other, attr)):
+                fn = compile_scalar(
+                    ast.Compare(op, left, right), "h", layouts, bindings
+                )
+                for value in (4, 5, 6):
+                    operands = (value, 5) if left is attr else (5, value)
+                    assert fn((value, 0, 1)) is python_op(*operands)
+
+    def test_unbound_param_raises_only_when_reached(self):
+        fn = compile_scalar(
+            ast.Compare("=", ast.Attr("h", "id"), ast.Param("p")),
+            "h", {"h": LAYOUT}, {},
+        )
+        with pytest.raises(ExecutionError, match=r"\$p is not bound"):
+            fn((1, 0, 1))
+
 
 class TestTemporal:
     def test_const_resolves_once(self):
         fn = compile_temporal(ast.TempConst("now"), None, {}, {}, _FakeClock(500))
-        assert fn(None) == Period.event(500)
+        assert fn(None) == (500, 501)
 
     def test_var_period_from_row(self):
         fn = compile_temporal(
             ast.TempVar("h"), "h", {"h": LAYOUT}, {}, _FakeClock()
         )
-        assert fn((1, 100, 200)) == Period(100, 200)
+        assert fn((1, 100, 200)) == (100, 200)
 
     def test_overlap_is_intersection_as_operand(self):
         expr = ast.TempBin("overlap", ast.TempVar("h"), ast.TempConst("forever"))
         fn = compile_temporal(expr, "h", {"h": LAYOUT}, {}, _FakeClock())
         result = fn((1, 100, FOREVER))
-        assert result is not None and result.start == FOREVER - 1
+        assert result == (FOREVER - 1, FOREVER)
 
     def test_empty_intersection_is_none_and_propagates(self):
         inner = ast.TempBin(
@@ -122,7 +151,7 @@ class TestTemporal:
         )
         expr = ast.TempBin("extend", ast.TempVar("h"), empty)
         fn = compile_temporal(expr, "h", {"h": LAYOUT}, {}, _FakeClock())
-        assert fn((1, 100, 200)) == Period(100, 200)
+        assert fn((1, 100, 200)) == (100, 200)
 
     def test_when_predicates(self):
         overlap = ast.TempBin("overlap", ast.TempVar("h"), ast.TempConst("now"))
@@ -153,11 +182,10 @@ class TestLayouts:
         assert layout.tx is None
 
     def test_degenerate_period_becomes_event(self):
-        assert LAYOUT.valid_period((1, 100, 100)).is_event
-
-    def test_tx_period_missing_raises(self):
-        with pytest.raises(ExecutionError):
-            LAYOUT.tx_period((1, 100, 200))
+        fn = compile_temporal(
+            ast.TempVar("h"), "h", {"h": LAYOUT}, {}, _FakeClock()
+        )
+        assert fn((1, 100, 100)) == (100, 101)
 
 
 class TestFilters:
@@ -184,5 +212,27 @@ class TestFilters:
         assert conjunction([])(None) is True
 
     def test_conjunction_combines(self):
-        fn = conjunction([lambda r: r > 0, lambda r: r < 10])
-        assert fn(5) and not fn(-1) and not fn(11)
+        # A filter that divides by zero: calling it raises.
+        boom = compile_scalar(
+            ast.Compare(
+                "=", ast.BinOp("/", ast.Const(1), ast.Const(0)), ast.Const(0)
+            ),
+            None, {}, {},
+        )
+        for count in (2, 3, 4):
+            # Filter k accepts r > k, so row r is first rejected by filter r.
+            checks = [lambda r, k=k: r > k for k in range(count)]
+            fn, batch = conjunction(checks), batch_conjunction(checks)
+            assert fn(count)
+            assert batch([count, 0, count - 1]) == [count]
+            assert not any(fn(rejected) for rejected in range(count))
+            # A filter after a false one is never called.
+            guarded = checks[:-1] + [boom]
+            fn, batch = conjunction(guarded), batch_conjunction(guarded)
+            for rejected in range(count - 1):
+                assert not fn(rejected)
+                assert batch([rejected]) == []
+            with pytest.raises(ExecutionError):
+                fn(count)
+            with pytest.raises(ExecutionError):
+                batch([count])
